@@ -361,12 +361,20 @@ std::size_t BandanaTable::reclaim_retired_locked() {
   // Everything retired so far predates the bank observations below (both
   // happen under reclaim_mu_), so a drained bank covers retire_seq_.
   const std::uint64_t seq = retire_seq_;
-  // Flip first: new readers move to the other bank, so the bank the
-  // previous pass left busy gets its chance to drain by the next pass
-  // even under a continuous read stream.
-  reader_gen_.fetch_add(1, std::memory_order_seq_cst);
+  bool drained[2];
   for (std::uint32_t bank = 0; bank < 2; ++bank) {
-    if (bank_drained(bank)) bank_drained_seq_[bank] = seq;
+    drained[bank] = bank_drained(bank);
+    if (drained[bank]) bank_drained_seq_[bank] = seq;
+  }
+  // Flip only once the bank new readers are NOT entering has drained: new
+  // readers then move onto it and the bank just flipped away from has
+  // until the next pass to drain. Flipping on every pass instead can lock
+  // into a phase where one bank is only ever checked just after it stopped
+  // (or just as it resumed) taking readers, so it never reads drained.
+  // reader_gen_ only changes under reclaim_mu_, held here.
+  const std::uint64_t gen = reader_gen_.load(std::memory_order_relaxed);
+  if (drained[(gen & 1) ^ 1]) {
+    reader_gen_.fetch_add(1, std::memory_order_seq_cst);
   }
   const std::uint64_t safe =
       std::min(bank_drained_seq_[0], bank_drained_seq_[1]);

@@ -30,18 +30,22 @@
 // being kept for the table's lifetime: every state-dereferencing reader
 // enters a striped reader bank (selected by the current generation parity)
 // before loading the state pointer and exits it when done. A reclaim pass
-// (run by every swap_state, and on demand via reclaim_retired) flips the
-// generation so new readers land on the other bank, then observes each
-// bank's per-slot entered/exited counters: a bank whose slots all read
-// exited == entered (exited loaded first — both counters are monotone, so
-// equality proves the slot was empty at the first load and stayed
-// untouched until the second) holds no reader that predates the pass. A
-// retired state is freed once BOTH banks have been observed drained after
-// its retirement, so a straggler that loaded the old pointer just before
-// the swap always keeps it alive until it exits. Under a continuous read
-// stream each pass drains the bank the previous pass flipped away from,
-// so the retired list stays bounded by a couple of retrain cycles rather
-// than growing with every push.
+// (run by every swap_state, and on demand via reclaim_retired) observes
+// each bank's per-slot entered/exited counters: a bank whose slots all
+// read exited == entered (exited loaded first — both counters are
+// monotone, so equality proves the slot was empty at the first load and
+// stayed untouched until the second) holds no reader that predates the
+// pass. A retired state is freed once BOTH banks have been observed
+// drained after its retirement, so a straggler that loaded the old pointer
+// just before the swap always keeps it alive until it exits. The pass then
+// flips the generation — moving new readers to the other bank — only if
+// that other bank was observed drained. Under a continuous read stream the
+// bank new readers enter is never seen drained, but the bank just flipped
+// away from only holds readers that entered before the flip, so it drains
+// by a later pass, which records it and flips back. Every flip therefore
+// follows a fresh drain observation, and the retired list stays bounded
+// by a couple of retrain cycles rather than growing with every push. It
+// waits only on a reader that stays inside one lookup.
 #pragma once
 
 #include <atomic>
@@ -248,11 +252,12 @@ class BandanaTable {
   /// shard locks). With one shard this is the exact LRU eviction order.
   std::vector<VectorId> cache_contents() const;
 
-  /// Run one reclaim pass: flip the reader generation, observe both banks,
-  /// and free every retired state whose retirement is covered by a drain
-  /// observation of each bank. Returns states freed. swap_state runs a
-  /// pass automatically; long-lived serving loops (or tests) call this to
-  /// drain stragglers from earlier swaps.
+  /// Run one reclaim pass: observe both banks, flip the reader generation
+  /// if the bank new readers are not entering was observed drained, and
+  /// free every retired state whose retirement is covered by a drain
+  /// observation of each bank. Returns states freed. swap_state runs a pass
+  /// automatically; long-lived serving loops (or tests) call this to drain
+  /// stragglers from earlier swaps.
   std::size_t reclaim_retired();
 
   /// Retired states still awaiting reclamation (diagnostic).

@@ -109,6 +109,7 @@ TEST(StateReclaim, ConcurrentServingSwapAndReclaimStress) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> bad{0};
+  std::atomic<int> readers_serving{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
@@ -129,8 +130,14 @@ TEST(StateReclaim, ConcurrentServingSwapAndReclaimStress) {
                           kVecBytes) == 0;
           if (!is_a && !is_b) bad.fetch_add(1, std::memory_order_relaxed);
         }
+        if (q == 1) readers_serving.fetch_add(1, std::memory_order_release);
       }
     });
+  }
+  // Start swapping only once every reader has served a batch, so each swap
+  // and reclaim pass races live lookups rather than threads still starting.
+  while (readers_serving.load(std::memory_order_acquire) < 3) {
+    std::this_thread::yield();
   }
 
   for (std::uint64_t cycle = 1; cycle <= 12; ++cycle) {
@@ -148,8 +155,8 @@ TEST(StateReclaim, ConcurrentServingSwapAndReclaimStress) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(bad.load(), 0u);
 
-  // Readers are gone: one pass (flip + both banks provably empty) frees
-  // every straggler.
+  // Readers are gone: one pass (both banks provably empty) frees every
+  // straggler.
   std::size_t left = store.retired_states();
   for (int pass = 0; pass < 3 && left > 0; ++pass) {
     store.reclaim_retired_states();
